@@ -21,6 +21,12 @@ const (
 // platform's bandwidth (§6.1). Random addresses defeat memory locality and
 // produce worst-case IOTLB behaviour. Synthesized at 400 MHz; conforms to
 // the preemption interface.
+//
+// Issuing allocates nothing in steady state. The completion callbacks are
+// built once per binding to an *Accel; the binding is made lazily in Pump,
+// so a ResetLogic (which clears it) or a fresh instance rebinds. Reads land
+// in one scratch buffer (MemBench never inspects read data), and write
+// payloads come from a freelist of records.
 type MemBench struct {
 	rng       *sim.Rand
 	remaining uint64
@@ -29,6 +35,19 @@ type MemBench struct {
 	base, size uint64
 	burst      int
 	writePct   uint64
+
+	bound   *Accel
+	onRead  func(data []byte, err error)
+	scratch []byte
+	wrFree  []*mbWrite
+}
+
+// mbWrite is one pooled write: its payload buffer and a completion callback,
+// built once, that returns the record to the freelist. The buffer is only
+// ever written in its 8-byte header, so the rest stays zero across reuses.
+type mbWrite struct {
+	buf  []byte
+	done func(err error)
 }
 
 // NewMemBench returns the MB logic.
@@ -62,8 +81,55 @@ func (m *MemBench) Start(a *Accel) {
 	a.SetWindow(64) // enough in-flight lines to cover the bandwidth-delay product
 }
 
+// bind builds the completion callbacks for a and drops any records bound
+// to a previous accelerator.
+func (m *MemBench) bind(a *Accel) {
+	m.bound = a
+	m.wrFree = nil
+	m.onRead = func(data []byte, err error) {
+		if err != nil {
+			a.Fail(fmt.Errorf("membench read: %w", err))
+			return
+		}
+		a.AddWork(uint64(len(data)))
+	}
+}
+
+// getWrite pops a write record whose payload is n bytes long, or builds one.
+func (m *MemBench) getWrite(n int) *mbWrite {
+	var w *mbWrite
+	if k := len(m.wrFree); k > 0 {
+		w = m.wrFree[k-1]
+		m.wrFree = m.wrFree[:k-1]
+	} else {
+		w = &mbWrite{}
+		a := m.bound
+		w.done = func(err error) {
+			n := uint64(len(w.buf))
+			m.wrFree = append(m.wrFree, w)
+			if err != nil {
+				a.Fail(fmt.Errorf("membench write: %w", err))
+				return
+			}
+			a.AddWork(n)
+		}
+	}
+	if cap(w.buf) < n {
+		w.buf = make([]byte, n)
+	}
+	w.buf = w.buf[:n]
+	return w
+}
+
 // Pump implements Logic.
 func (m *MemBench) Pump(a *Accel) {
+	if m.bound != a {
+		m.bind(a)
+	}
+	bytes := uint64(m.burst) * ccip.LineSize
+	if len(m.scratch) < int(bytes) {
+		m.scratch = make([]byte, bytes)
+	}
 	for a.CanIssue() {
 		if !m.infinite && m.remaining == 0 {
 			if a.Status() == StatusRunning {
@@ -74,27 +140,14 @@ func (m *MemBench) Pump(a *Accel) {
 		if !m.infinite {
 			m.remaining--
 		}
-		bytes := uint64(m.burst) * ccip.LineSize
 		slots := (m.size - bytes) / ccip.LineSize
 		addr := m.base + m.rng.Uint64n(slots+1)*ccip.LineSize
 		if m.rng.Uint64n(100) < m.writePct {
-			data := make([]byte, bytes)
-			m.rng.Fill(data[:8]) // pattern header; rest zero (hardware writes junk)
-			a.Write(addr, data, func(err error) {
-				if err != nil {
-					a.Fail(fmt.Errorf("membench write: %w", err))
-					return
-				}
-				a.AddWork(bytes)
-			})
+			w := m.getWrite(int(bytes))
+			m.rng.Fill(w.buf[:8]) // pattern header; rest zero (hardware writes junk)
+			a.Write(addr, w.buf, w.done)
 		} else {
-			a.Read(addr, m.burst, func(data []byte, err error) {
-				if err != nil {
-					a.Fail(fmt.Errorf("membench read: %w", err))
-					return
-				}
-				a.AddWork(bytes)
-			})
+			a.ReadInto(addr, m.burst, m.scratch, m.onRead)
 		}
 	}
 }

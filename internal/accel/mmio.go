@@ -114,7 +114,7 @@ func (a *Accel) saveState() {
 	a.port.Issue(ccip.Request{
 		Kind: ccip.WrLine, Addr: a.stateAddr, Lines: len(buf) / ccip.LineSize, Data: buf,
 		VC: a.vc(), Issued: a.k.Now(),
-		Done: func(r ccip.Response) {
+		Comp: ccip.CompleterFunc(func(r ccip.Response) {
 			if !a.complete(epoch) {
 				return
 			}
@@ -124,7 +124,7 @@ func (a *Accel) saveState() {
 			}
 			a.bytesWritten += uint64(len(buf))
 			a.setStatus(StatusSaved)
-		},
+		}),
 	})
 }
 
@@ -162,7 +162,7 @@ func (a *Accel) loadState() {
 	a.port.Issue(ccip.Request{
 		Kind: ccip.RdLine, Addr: a.stateAddr, Lines: a.stateLines(),
 		VC: a.vc(), Issued: a.k.Now(),
-		Done: func(r ccip.Response) {
+		Comp: ccip.CompleterFunc(func(r ccip.Response) {
 			if !a.complete(epoch) {
 				return
 			}
@@ -172,7 +172,7 @@ func (a *Accel) loadState() {
 			}
 			a.bytesRead += uint64(len(r.Data))
 			finish(r.Data)
-		},
+		}),
 	})
 }
 

@@ -73,15 +73,21 @@ type Tag struct {
 	Txn     uint64
 }
 
-// Completer receives a request's response without a per-request closure.
-// Implementations are long-lived records (typically pooled): the pointer
-// travels with the request through the auditor, the multiplexer tree, and
-// the shell, and Complete is invoked exactly once when the response is
-// delivered. This is the allocation-free alternative to Done — the record
-// carries by value the state a Done closure would have captured.
+// Completer receives a request's response. Implementations on the data
+// path are long-lived records (typically pooled): the pointer travels with
+// the request through the auditor, the multiplexer tree, and the shell, and
+// Complete is invoked exactly once when the response is delivered, so no
+// per-request closure is needed.
 type Completer interface {
 	Complete(Response)
 }
+
+// CompleterFunc adapts an ordinary function to Completer, for cold paths and
+// tests where one closure per request does not matter.
+type CompleterFunc func(Response)
+
+// Complete implements Completer.
+func (f CompleterFunc) Complete(r Response) { f(r) }
 
 // Request is a DMA request packet. Addr is a virtual address: a guest
 // virtual address when leaving the accelerator, rewritten to an IO virtual
@@ -101,10 +107,7 @@ type Request struct {
 	Tag Tag
 	// Issued is stamped by the issuing engine for latency accounting.
 	Issued sim.Time
-	// Done receives the response. Exactly one completion target — Done or
-	// Comp — must be set.
-	Done func(Response)
-	// Comp receives the response when Done is nil (the pooled path).
+	// Comp receives the response; it must be set.
 	Comp Completer
 }
 
@@ -144,7 +147,7 @@ func (r Request) Validate() error {
 	if r.Kind == RdLine && r.Dst != nil && len(r.Dst) < int(r.Bytes()) {
 		return fmt.Errorf("ccip: read destination holds %d bytes, want %d", len(r.Dst), r.Bytes())
 	}
-	if r.Done == nil && r.Comp == nil {
+	if r.Comp == nil {
 		return fmt.Errorf("ccip: request without completion target")
 	}
 	return nil

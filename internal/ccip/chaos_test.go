@@ -16,10 +16,10 @@ func issueCounted(k *sim.Kernel, s *Shell, n int) (counts []int, errs []error) {
 	for i := 0; i < n; i++ {
 		i := i
 		s.Issue(Request{Kind: WrLine, Addr: uint64(i) * LineSize, Lines: 1,
-			Data: payload, VC: VCUPI, Issued: k.Now(), Done: func(r Response) {
+			Data: payload, VC: VCUPI, Issued: k.Now(), Comp: CompleterFunc(func(r Response) {
 				counts[i]++
 				errs[i] = r.Err
-			}})
+			})})
 	}
 	k.Run()
 	return counts, errs

@@ -189,7 +189,6 @@ type shellOp struct {
 	issued sim.Time
 	data   []byte // write payload, borrowed from the request until completion
 	dst    []byte // caller-provided read destination (zero-copy opt-in)
-	done   func(Response)
 	comp   Completer
 	err    error // translation fault: deliver an error response, skip memory
 
@@ -222,7 +221,7 @@ func (s *Shell) getOp() *shellOp {
 
 func (s *Shell) putOp(op *shellOp) {
 	op.data, op.dst = nil, nil
-	op.done, op.comp = nil, nil
+	op.comp = nil
 	op.err = nil
 	op.nsegs = 0
 	op.segSpill = op.segSpill[:0]
@@ -280,13 +279,9 @@ func (op *shellOp) run() {
 			s.stats.BytesWritten += uint64(op.lines) * LineSize
 		}
 	}
-	done, comp := op.done, op.comp
+	comp := op.comp
 	s.putOp(op)
-	if comp != nil {
-		comp.Complete(resp)
-	} else {
-		done(resp)
-	}
+	comp.Complete(resp)
 }
 
 // readInto performs the functional line reads into dst (allocating a fresh
@@ -455,7 +450,7 @@ func (s *Shell) Issue(req Request) {
 	op.kind, op.addr, op.tag, op.vc = req.Kind, req.Addr, req.Tag, vc
 	op.lines, op.issued = req.Lines, req.Issued
 	op.data, op.dst = req.Data, req.Dst
-	op.done, op.comp = req.Done, req.Comp
+	op.comp = req.Comp
 
 	if s.chaos != nil && s.chaosArm(op, now) {
 		return

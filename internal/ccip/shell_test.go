@@ -33,22 +33,22 @@ func TestShellReadWriteRoundTrip(t *testing.T) {
 	}
 	var done int
 	s.Issue(Request{Kind: WrLine, Addr: 0x1000, Lines: 1, Data: payload, VC: VCUPI,
-		Issued: k.Now(), Done: func(r Response) {
+		Issued: k.Now(), Comp: CompleterFunc(func(r Response) {
 			if r.Err != nil {
 				t.Errorf("write failed: %v", r.Err)
 			}
 			done++
-		}})
+		})})
 	k.Run()
 	var got []byte
 	s.Issue(Request{Kind: RdLine, Addr: 0x1000, Lines: 1, VC: VCUPI,
-		Issued: k.Now(), Done: func(r Response) {
+		Issued: k.Now(), Comp: CompleterFunc(func(r Response) {
 			if r.Err != nil {
 				t.Errorf("read failed: %v", r.Err)
 			}
 			got = r.Data
 			done++
-		}})
+		})})
 	k.Run()
 	if done != 2 {
 		t.Fatalf("completed %d requests, want 2", done)
@@ -63,14 +63,14 @@ func TestShellUnloadedLatency(t *testing.T) {
 	k, s := testShell(t, cfg, 4<<20)
 	// Warm the IOTLB so no walk is charged.
 	warm := func(vc Channel) {
-		s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: vc, Issued: k.Now(), Done: func(Response) {}})
+		s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: vc, Issued: k.Now(), Comp: CompleterFunc(func(Response) {})})
 		k.Run()
 	}
 	warm(VCUPI)
 	measure := func(vc Channel) sim.Time {
 		var lat sim.Time
 		s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: vc, Issued: k.Now(),
-			Done: func(r Response) { lat = r.Latency }})
+			Comp: CompleterFunc(func(r Response) { lat = r.Latency })})
 		k.Run()
 		return lat
 	}
@@ -91,10 +91,10 @@ func TestShellIOTLBMissAddsLatency(t *testing.T) {
 	k, s := testShell(t, DefaultConfig(), 8<<20)
 	var first, second sim.Time
 	s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: VCUPI, Issued: k.Now(),
-		Done: func(r Response) { first = r.Latency }})
+		Comp: CompleterFunc(func(r Response) { first = r.Latency })})
 	k.Run()
 	s.Issue(Request{Kind: RdLine, Addr: 64, Lines: 1, VC: VCUPI, Issued: k.Now(),
-		Done: func(r Response) { second = r.Latency }})
+		Comp: CompleterFunc(func(r Response) { second = r.Latency })})
 	k.Run()
 	if first <= second {
 		t.Fatalf("miss latency (%v) should exceed hit latency (%v)", first, second)
@@ -117,12 +117,12 @@ func TestShellBandwidthCap(t *testing.T) {
 			return
 		}
 		s.Issue(Request{Kind: RdLine, Addr: addr, Lines: burst, VC: VCAuto, Issued: k.Now(),
-			Done: func(r Response) {
+			Comp: CompleterFunc(func(r Response) {
 				if r.Err != nil {
 					t.Errorf("read error: %v", r.Err)
 				}
 				issue(rng.Uint64n((256<<20)/LineSize/burst) * LineSize * burst)
-			}})
+			})})
 	}
 	for i := 0; i < 64; i++ { // deep outstanding window
 		outstanding++
@@ -143,11 +143,11 @@ func TestShellChannelPinning(t *testing.T) {
 	k, s := testShell(t, DefaultConfig(), 4<<20)
 	for i := 0; i < 50; i++ {
 		s.Issue(Request{Kind: RdLine, Addr: uint64(i) * LineSize, Lines: 1, VC: VCUPI,
-			Issued: k.Now(), Done: func(r Response) {
+			Issued: k.Now(), Comp: CompleterFunc(func(r Response) {
 				if r.VC != VCUPI {
 					t.Errorf("pinned UPI request used %v", r.VC)
 				}
-			}})
+			})})
 	}
 	k.Run()
 	st := s.Stats()
@@ -166,7 +166,7 @@ func TestShellAutoUsesAllChannels(t *testing.T) {
 		}
 		n++
 		s.Issue(Request{Kind: RdLine, Addr: uint64(n%1024) * LineSize, Lines: 4, VC: VCAuto,
-			Issued: k.Now(), Done: func(r Response) { issue(i) }})
+			Issued: k.Now(), Comp: CompleterFunc(func(r Response) { issue(i) })})
 	}
 	for i := 0; i < 32; i++ {
 		issue(i)
@@ -184,7 +184,7 @@ func TestShellFaultOnUnmapped(t *testing.T) {
 	k, s := testShell(t, DefaultConfig(), 4<<20)
 	var gotErr error
 	s.Issue(Request{Kind: RdLine, Addr: 1 << 40, Lines: 1, VC: VCUPI, Issued: k.Now(),
-		Done: func(r Response) { gotErr = r.Err }})
+		Comp: CompleterFunc(func(r Response) { gotErr = r.Err })})
 	k.Run()
 	if gotErr == nil {
 		t.Fatal("read of unmapped IOVA should fault")
@@ -201,9 +201,9 @@ func TestShellWritePermissionEnforced(t *testing.T) {
 	s.IOMMU.Table().Map(0, 0, pagetable.PermRead) // read-only page
 	var rdErr, wrErr error
 	s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: VCUPI, Issued: k.Now(),
-		Done: func(r Response) { rdErr = r.Err }})
+		Comp: CompleterFunc(func(r Response) { rdErr = r.Err })})
 	s.Issue(Request{Kind: WrLine, Addr: 0, Lines: 1, Data: make([]byte, LineSize), VC: VCUPI,
-		Issued: k.Now(), Done: func(r Response) { wrErr = r.Err }})
+		Issued: k.Now(), Comp: CompleterFunc(func(r Response) { wrErr = r.Err })})
 	k.Run()
 	if rdErr != nil {
 		t.Fatalf("read of read-only page failed: %v", rdErr)
@@ -214,14 +214,14 @@ func TestShellWritePermissionEnforced(t *testing.T) {
 }
 
 func TestRequestValidate(t *testing.T) {
-	ok := Request{Kind: RdLine, Addr: 0, Lines: 1, Done: func(Response) {}}
+	ok := Request{Kind: RdLine, Addr: 0, Lines: 1, Comp: CompleterFunc(func(Response) {})}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Request{
-		{Kind: RdLine, Addr: 0, Lines: 0, Done: func(Response) {}},
-		{Kind: RdLine, Addr: 3, Lines: 1, Done: func(Response) {}},
-		{Kind: WrLine, Addr: 0, Lines: 1, Data: []byte{1}, Done: func(Response) {}},
+		{Kind: RdLine, Addr: 0, Lines: 0, Comp: CompleterFunc(func(Response) {})},
+		{Kind: RdLine, Addr: 3, Lines: 1, Comp: CompleterFunc(func(Response) {})},
+		{Kind: WrLine, Addr: 0, Lines: 1, Data: []byte{1}, Comp: CompleterFunc(func(Response) {})},
 		{Kind: RdLine, Addr: 0, Lines: 1},
 	}
 	for i, r := range bad {
@@ -260,7 +260,7 @@ func TestShell4KPagesMoreWalkTraffic(t *testing.T) {
 			}
 			addr := rng.Uint64n((16<<20)/LineSize) * LineSize
 			s.Issue(Request{Kind: RdLine, Addr: addr, Lines: 1, VC: VCAuto, Issued: k.Now(),
-				Done: func(r Response) { issue() }})
+				Comp: CompleterFunc(func(r Response) { issue() })})
 		}
 		for i := 0; i < 64; i++ {
 			issue()
@@ -288,7 +288,7 @@ func TestAutoSelectorBandwidthProportional(t *testing.T) {
 			return
 		}
 		s.Issue(Request{Kind: RdLine, Addr: addr, Lines: 4, VC: VCAuto, Issued: k.Now(),
-			Done: func(r Response) { issue(rng.Uint64n((128<<20)/256) * 256) }})
+			Comp: CompleterFunc(func(r Response) { issue(rng.Uint64n((128<<20)/256) * 256) })})
 	}
 	for i := 0; i < 128; i++ {
 		issue(rng.Uint64n((128<<20)/256) * 256)
@@ -307,14 +307,14 @@ func TestAutoSelectorBandwidthProportional(t *testing.T) {
 func TestWriteLatencyLowerThanRead(t *testing.T) {
 	k, s := testShell(t, DefaultConfig(), 4<<20)
 	// Warm the IOTLB.
-	s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: VCUPI, Issued: k.Now(), Done: func(Response) {}})
+	s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: VCUPI, Issued: k.Now(), Comp: CompleterFunc(func(Response) {})})
 	k.Run()
 	var rd, wr sim.Time
 	s.Issue(Request{Kind: RdLine, Addr: 0, Lines: 1, VC: VCUPI, Issued: k.Now(),
-		Done: func(r Response) { rd = r.Latency }})
+		Comp: CompleterFunc(func(r Response) { rd = r.Latency })})
 	k.Run()
 	s.Issue(Request{Kind: WrLine, Addr: 0, Lines: 1, Data: make([]byte, 64), VC: VCUPI,
-		Issued: k.Now(), Done: func(r Response) { wr = r.Latency }})
+		Issued: k.Now(), Comp: CompleterFunc(func(r Response) { wr = r.Latency })})
 	k.Run()
 	if wr >= rd {
 		t.Fatalf("posted write (%v) should complete faster than read (%v)", wr, rd)

@@ -10,9 +10,9 @@ import (
 	"optimus/internal/sim"
 )
 
-// arenaProbe is a per-request ccip.Completer used by the recycling property
-// test: half of the requests complete through the pooled-Completer interface
-// and half through Done closures, so both dispatch paths are exercised.
+// arenaProbe is a per-request ccip.Completer record used by the recycling
+// property test: half of the requests complete through such records and half
+// through ccip.CompleterFunc closures.
 type arenaProbe struct {
 	check func(ccip.Response)
 }
@@ -133,7 +133,7 @@ func TestArenaRecycling(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			req.Comp = &arenaProbe{check: verify}
 		} else {
-			req.Done = verify
+			req.Comp = ccip.CompleterFunc(verify)
 		}
 		reqs = append(reqs, p)
 		mon.AccelPort(id).Issue(req)

@@ -68,22 +68,17 @@ type inflight struct {
 	dataBytes   uint64
 	respLines   int // response size on the downstream wire
 	creditLines int // root-tree credits held (0 when pass-through)
-	done        func(ccip.Response)
 	comp        ccip.Completer
 
-	req  ccip.Request  // staged between issue and paced injection
+	req  ccip.Request  // the rewritten request; the tree queues the record, not a copy
 	resp ccip.Response // staged between shell completion and delivery
 }
 
-// inject is the paced-injection event: hand the rewritten request to the
+// inject is the paced-injection event: hand the record to the
 // accelerator's tree leaf.
 //
 //optimus:hotpath
-func (fl *inflight) inject() {
-	req := fl.req
-	fl.req = ccip.Request{} // the tree's queue copy owns the references now
-	fl.m.entries[fl.a.id](req)
-}
+func (fl *inflight) inject() { fl.m.entries[fl.a.id](fl) }
 
 // Complete implements ccip.Completer: the shell's completion event lands
 // here. Credits held at the tree root are released first (waking the root
@@ -138,25 +133,16 @@ func (fl *inflight) deliver() {
 		m.tr.EmitSpan(m.k.Now(), obs.KindDMAComplete, obs.PA(a.id),
 			obs.MkSpan(a.id, resp.Tag.Txn), uint64(resp.Latency), bytes)
 	}
-	done, comp := fl.done, fl.comp
+	comp := fl.comp
 	m.putInflight(fl)
-	if comp != nil {
-		comp.Complete(resp)
-	} else {
-		done(resp)
-	}
+	comp.Complete(resp)
 }
 
 // fault delivers a range-violation response staged by rangeFault.
 func (fl *inflight) fault() {
-	resp := fl.resp
-	done, comp := fl.done, fl.comp
+	resp, comp := fl.resp, fl.comp
 	fl.m.putInflight(fl)
-	if comp != nil {
-		comp.Complete(resp)
-	} else {
-		done(resp)
-	}
+	comp.Complete(resp)
 }
 
 // ID returns the physical accelerator slot this auditor guards.
@@ -235,13 +221,12 @@ func (a *Auditor) Issue(req ccip.Request) {
 	if req.Kind == ccip.WrLine {
 		fl.respLines = 1 // write acknowledgements carry no data
 	}
-	fl.done, fl.comp = req.Done, req.Comp
+	fl.comp = req.Comp
 
 	fl.req = req
 	fl.req.Addr = uint64(iova)
 	fl.req.Tag = ccip.Tag{AccelID: a.id, Txn: a.txn}
 	a.txn++
-	fl.req.Done = nil
 	fl.req.Comp = fl
 
 	// Injection pacing at the tree boundary.
@@ -263,7 +248,7 @@ func (a *Auditor) rangeFault(req ccip.Request) {
 	m.tr.Emit(m.k.Now(), obs.KindDMAFault, obs.PA(a.id), req.Addr, uint64(req.Lines))
 	fl := m.getInflight()
 	fl.a = a
-	fl.done, fl.comp = req.Done, req.Comp
+	fl.comp = req.Comp
 	fl.resp = ccip.Response{Kind: req.Kind, Addr: req.Addr, Tag: req.Tag,
 		Err: fmt.Errorf("%w: gva=%#x window=[%#x,+%#x)", ErrRangeViolation, req.Addr, a.gvaBase, a.windowSize)}
 	m.k.After(0, fl.fireFault)

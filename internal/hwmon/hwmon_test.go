@@ -118,7 +118,7 @@ func TestMMIORouting(t *testing.T) {
 
 func issueRead(k *sim.Kernel, port ccip.Port, addr uint64, lines int, done func(ccip.Response)) {
 	port.Issue(ccip.Request{Kind: ccip.RdLine, Addr: addr, Lines: lines, VC: ccip.VCUPI,
-		Issued: k.Now(), Done: done})
+		Issued: k.Now(), Comp: ccip.CompleterFunc(done)})
 }
 
 func TestSlicingTranslation(t *testing.T) {

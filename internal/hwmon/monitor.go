@@ -103,8 +103,8 @@ type Monitor struct {
 	treeLevels int
 
 	auditors []*Auditor
-	root     *muxNode             // upstream tree root (nil for a single accelerator)
-	entries  []func(ccip.Request) // per-accelerator leaf injection points
+	root     *muxNode          // upstream tree root (nil for a single accelerator)
+	entries  []func(*inflight) // per-accelerator leaf injection points
 
 	// downstream is the response-side root server: all responses cross the
 	// shell→tree boundary at one line per cycle.
@@ -144,7 +144,6 @@ func (m *Monitor) getInflight() *inflight {
 //optimus:hotpath
 func (m *Monitor) putInflight(fl *inflight) {
 	fl.a = nil
-	fl.done = nil
 	fl.comp = nil
 	fl.creditLines = 0
 	fl.req = ccip.Request{}

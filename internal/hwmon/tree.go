@@ -1,9 +1,6 @@
 package hwmon
 
-import (
-	"optimus/internal/ccip"
-	"optimus/internal/obs"
-)
+import "optimus/internal/obs"
 
 // muxNode is one multiplexer in the tree. Upstream (accelerator → shell)
 // requests from its children are arbitrated round-robin and serialized at
@@ -12,13 +9,14 @@ import (
 // addresses — routing decisions are made lazily by the auditors (§4.1).
 //
 // A node holds at most one request in its serializer and any number in its
-// pipeline-latency stage; both are tracked in reused per-node storage and
-// driven by event closures built once at construction, so arbitration and
-// forwarding allocate nothing in steady state.
+// pipeline-latency stage. Requests travel through the tree as pointers to
+// their pooled inflight records, queued in wraparound rings and driven by
+// event closures built once at construction, so arbitration and forwarding
+// neither copy requests nor allocate in steady state.
 type muxNode struct {
 	m      *Monitor
-	out    func(ccip.Request)
-	queues []childQ
+	out    func(*inflight)
+	queues []ring // one per child
 	busy   bool
 	rr     int
 	// root nodes additionally observe the shell's credit-based flow
@@ -27,52 +25,72 @@ type muxNode struct {
 	// bandwidth among accelerators.
 	root bool
 
-	inService ccip.Request   // request occupying the serializer
-	pipe      []ccip.Request // requests in the level-latency pipeline, FIFO
-	pipeHead  int
-	served    func() // serializer-drained event, built once
-	emit      func() // pipeline-emission event, built once
-	kickFn    func() // credit-waiter callback, built once
+	inService *inflight // request occupying the serializer
+	pipe      ring      // requests in the level-latency pipeline, FIFO
+	served    func()    // serializer-drained event, built once
+	emit      func()    // pipeline-emission event, built once
+	kickFn    func()    // credit-waiter callback, built once
 }
 
-// childQ is a head-indexed FIFO of one child's pending requests. Popping
-// advances head instead of re-slicing the front, and the storage rewinds to
-// index zero whenever the queue drains, so the backing array is reused
-// forever instead of crawling forward and forcing append to reallocate.
-type childQ struct {
-	q    []ccip.Request
-	head int
+// ring is a wraparound FIFO of queued requests over a power-of-two array.
+// It doubles only when full, so its storage stays bounded by the peak
+// occupancy even under saturation, when a queue may never drain. Popped
+// slots are cleared so the array holds no stale record pointers.
+type ring struct {
+	buf  []*inflight
+	head int // index of the oldest entry
+	n    int
 }
 
-func (c *childQ) empty() bool { return c.head == len(c.q) }
+func (r *ring) empty() bool { return r.n == 0 }
+
+// peek returns the oldest entry without removing it.
+func (r *ring) peek() *inflight { return r.buf[r.head] }
 
 //optimus:hotpath
-func (c *childQ) pop() ccip.Request {
-	req := c.q[c.head]
-	c.q[c.head] = ccip.Request{} // drop payload refs in the vacated slot
-	c.head++
-	if c.head == len(c.q) {
-		c.q = c.q[:0]
-		c.head = 0
+func (r *ring) push(fl *inflight) {
+	if r.n == len(r.buf) {
+		r.grow()
 	}
-	return req
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = fl
+	r.n++
 }
 
-func newMuxNode(m *Monitor, children int, out func(ccip.Request)) *muxNode {
-	n := &muxNode{m: m, out: out, queues: make([]childQ, children)}
+//optimus:hotpath
+func (r *ring) pop() *inflight {
+	fl := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return fl
+}
+
+// grow doubles the storage (allocating it on first use), unwrapping the
+// entries to start at index zero.
+func (r *ring) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]*inflight, size)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+func newMuxNode(m *Monitor, children int, out func(*inflight)) *muxNode {
+	n := &muxNode{m: m, out: out, queues: make([]ring, children)}
 	n.served = n.onServed
 	n.emit = n.onEmit
 	n.kickFn = n.kick
 	return n
 }
 
-// accept enqueues one request from a child port. Queue slots are reused
-// across requests (amortized growth), so steady-state acceptance is
-// allocation-free.
+// accept enqueues one request from a child port.
 //
 //optimus:hotpath
-func (n *muxNode) accept(child int, req ccip.Request) {
-	n.queues[child].q = append(n.queues[child].q, req)
+func (n *muxNode) accept(child int, fl *inflight) {
+	n.queues[child].push(fl)
 	n.kick()
 }
 
@@ -94,40 +112,24 @@ func (n *muxNode) kick() {
 	}
 	cq := &n.queues[pick]
 	// Peek before popping: a credit stall must leave the request queued.
-	req := cq.q[cq.head]
+	fl := cq.peek()
+	lines := fl.req.Lines
 	if n.root {
-		if !n.m.credits.tryAcquire(req.Lines) {
+		if !n.m.credits.tryAcquire(lines) {
 			if tr := n.m.tr; tr != nil {
-				tr.Emit(n.m.k.Now(), obs.KindMuxStall, obs.PA(req.Tag.AccelID),
-					uint64(req.Lines), uint64(n.m.credits.inflight))
+				tr.Emit(n.m.k.Now(), obs.KindMuxStall, obs.PA(fl.req.Tag.AccelID),
+					uint64(lines), uint64(n.m.credits.inflight))
 			}
 			n.m.credits.waiter = n.kickFn
 			return
 		}
-		n.attachCreditRelease(&req)
+		fl.creditLines = lines // given back when the response returns (inflight.Complete)
 	}
 	cq.pop()
 	n.rr = (pick + 1) % len(n.queues)
 	n.busy = true
-	n.inService = req
-	n.m.k.After(n.m.clock.Cycles(int64(req.Lines)), n.served)
-}
-
-// attachCreditRelease arranges for the request's root credits to be given
-// back when its response returns. The audited path carries a pooled
-// inflight record, which releases in Complete; anything else (not reachable
-// from the auditors today) falls back to a wrapping closure.
-func (n *muxNode) attachCreditRelease(req *ccip.Request) {
-	if fl, ok := req.Comp.(*inflight); ok {
-		fl.creditLines = req.Lines
-		return
-	}
-	lines := req.Lines
-	orig := req.Done
-	req.Done = func(r ccip.Response) {
-		n.m.credits.release(lines)
-		orig(r)
-	}
+	n.inService = fl
+	n.m.k.After(n.m.clock.Cycles(int64(lines)), n.served)
 }
 
 // onServed fires when the serializer drains: free it, move the request into
@@ -138,31 +140,24 @@ func (n *muxNode) attachCreditRelease(req *ccip.Request) {
 //optimus:hotpath
 func (n *muxNode) onServed() {
 	n.busy = false
-	n.pipe = append(n.pipe, n.inService)
-	n.inService = ccip.Request{}
+	n.pipe.push(n.inService)
+	n.inService = nil
 	n.m.k.After(n.m.cfg.LevelLatency, n.emit)
 	n.kick()
 }
 
 //optimus:hotpath
-func (n *muxNode) onEmit() {
-	req := n.pipe[n.pipeHead]
-	n.pipe[n.pipeHead] = ccip.Request{}
-	n.pipeHead++
-	if n.pipeHead == len(n.pipe) {
-		n.pipe = n.pipe[:0]
-		n.pipeHead = 0
-	}
-	n.out(req)
-}
+func (n *muxNode) onEmit() { n.out(n.pipe.pop()) }
 
 // buildTree wires the upstream multiplexer tree for n accelerators and
 // fills m.entries with each accelerator's leaf-injection function. With a
 // single accelerator no multiplexer is instantiated.
 func buildTree(m *Monitor, n int) *muxNode {
-	toShell := func(req ccip.Request) { m.shell.Issue(req) }
+	// The shell boundary is where the request leaves its pooled record: the
+	// shell copies it once into its own completion record.
+	toShell := func(fl *inflight) { m.shell.Issue(fl.req) }
 	if n == 1 {
-		m.entries = []func(ccip.Request){toShell}
+		m.entries = []func(*inflight){toShell}
 		return nil
 	}
 	var root *muxNode
@@ -173,9 +168,9 @@ func buildTree(m *Monitor, n int) *muxNode {
 // attachSubtree connects count accelerators beneath an output function,
 // creating multiplexer nodes as required by the topology, and returns the
 // leaf entry functions in accelerator order.
-func attachSubtree(m *Monitor, count int, noteRoot func(*muxNode), out func(ccip.Request)) []func(ccip.Request) {
+func attachSubtree(m *Monitor, count int, noteRoot func(*muxNode), out func(*inflight)) []func(*inflight) {
 	if count <= 1 {
-		return []func(ccip.Request){out}
+		return []func(*inflight){out}
 	}
 	groups := m.cfg.Topology.Arity
 	if m.cfg.Topology.Flat || groups < 2 {
@@ -188,7 +183,7 @@ func attachSubtree(m *Monitor, count int, noteRoot func(*muxNode), out func(ccip
 	if noteRoot != nil {
 		noteRoot(node)
 	}
-	var entries []func(ccip.Request)
+	var entries []func(*inflight)
 	base, rem := count/groups, count%groups
 	for g := 0; g < groups; g++ {
 		c := base
@@ -196,7 +191,7 @@ func attachSubtree(m *Monitor, count int, noteRoot func(*muxNode), out func(ccip
 			c++
 		}
 		g := g
-		sub := attachSubtree(m, c, nil, func(req ccip.Request) { node.accept(g, req) })
+		sub := attachSubtree(m, c, nil, func(fl *inflight) { node.accept(g, fl) })
 		entries = append(entries, sub...)
 	}
 	return entries
